@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-engine bench-distrib bench-serve bench-planner conformance conformance-dist cover fuzz-smoke experiments
+.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-selftest bench-engine bench-distrib bench-serve bench-planner conformance conformance-dist cover fuzz-smoke experiments
 
 all: tier1
 
@@ -113,6 +113,13 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# bench-selftest runs the end-to-end benchmark's own tests. e2ebench/
+# is a separate Go module (it imports this one through a replace
+# directive), so the root `go build ./...` never compiles it; this
+# target catches a facade change that would break it.
+bench-selftest:
+	cd e2ebench && $(GO) test ./...
 
 # bench-engine runs the shuffle-datapath micro-benchmarks (sort, merge,
 # round-trip) plus the verification-kernel benchmarks (candidate-heavy

@@ -56,7 +56,6 @@ func main() {
 		shards  = flag.Int("shards", 0, "index shard count (0 = default 8)")
 		workers = flag.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
 		drift   = flag.Float64("drift", 0, "token-frequency drift fraction that triggers a lazy re-order (0 = default 0.25)")
-		cache   = flag.Int("cache", 0, "verification cache capacity in pair verdicts (0 = default 4096, negative disables)")
 
 		selfcheck  = flag.Int("selfcheck", 0, "smoke mode: serve on an ephemeral port, run N queries over HTTP, diff each against the oracle, then exit")
 		metricsOut = flag.String("metrics-out", "", "write the final Stats document as JSON to this file on shutdown")
@@ -73,7 +72,6 @@ func main() {
 		Shards:         *shards,
 		Workers:        *workers,
 		DriftThreshold: *drift,
-		CacheSize:      *cache,
 	}
 
 	var recs []records.Record
@@ -199,8 +197,8 @@ func runSelfcheck(recs []records.Record, opts ssjserve.Options, n int, metricsOu
 	if err := srv.Shutdown(shutCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	fmt.Printf("selfcheck: %d queries matched the oracle (%d added via HTTP, %d reorders, %d cache hits)\n",
-		n, len(rest), st.Reorders, st.CacheHits)
+	fmt.Printf("selfcheck: %d queries matched the oracle (%d added via HTTP, %d reorders)\n",
+		n, len(rest), st.Reorders)
 	return nil
 }
 

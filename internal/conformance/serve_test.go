@@ -3,7 +3,7 @@ package conformance
 import "testing"
 
 // TestServeCheckSeeds runs the online-service differential gate over
-// seeded workloads — including the incremental-ingestion and cache-hot
+// seeded workloads — including the incremental-ingestion and re-probe
 // phases — at two shard counts.
 func TestServeCheckSeeds(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {

@@ -201,8 +201,8 @@ type Config struct {
 	BlockMode BlockMode
 	NumBlocks int
 	// LengthRouting enables the §5 secondary routing criterion for the
-	// self-join BK kernel: projections are routed on (token, length
-	// bucket) keys so reducers buffer only one length bucket at a time.
+	// BK kernel: projections are routed on (token, length bucket) keys
+	// so reducers buffer only one length bucket at a time.
 	// LengthBucket is the bucket width in tokens (default 2).
 	LengthRouting bool
 	LengthBucket  int

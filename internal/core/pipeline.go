@@ -64,7 +64,7 @@ func SelfJoin(cfg Config, input string) (*Result, error) {
 
 	start = time.Now()
 	traceStage(&cfg, trace.StageStart, 2, cfg.Kernel.String())
-	pairs, m2, err := runStage2Self(&cfg, input, tokenFile, cfg.Work)
+	pairs, m2, err := runStage2(&cfg, []string{input}, tokenFile, cfg.Work)
 	if err != nil {
 		return nil, fmt.Errorf("stage 2 (%s): %w", cfg.Kernel, err)
 	}
@@ -118,7 +118,7 @@ func RSJoin(cfg Config, inputR, inputS string) (*Result, error) {
 
 	start = time.Now()
 	traceStage(&cfg, trace.StageStart, 2, cfg.Kernel.String())
-	pairs, m2, err := runStage2RS(&cfg, inputR, inputS, tokenFile, cfg.Work)
+	pairs, m2, err := runStage2(&cfg, []string{inputR, inputS}, tokenFile, cfg.Work)
 	if err != nil {
 		return nil, fmt.Errorf("stage 2 (%s): %w", cfg.Kernel, err)
 	}
@@ -156,7 +156,7 @@ func Stage2Self(cfg Config, input, tokenFile string) (string, []*mapreduce.Metri
 	if err := cfg.fillDefaults(); err != nil {
 		return "", nil, err
 	}
-	return runStage2Self(&cfg, input, tokenFile, cfg.Work)
+	return runStage2(&cfg, []string{input}, tokenFile, cfg.Work)
 }
 
 // Stage2RS runs only the R-S kernel stage.
@@ -164,7 +164,7 @@ func Stage2RS(cfg Config, inputR, inputS, tokenFile string) (string, []*mapreduc
 	if err := cfg.fillDefaults(); err != nil {
 		return "", nil, err
 	}
-	return runStage2RS(&cfg, inputR, inputS, tokenFile, cfg.Work)
+	return runStage2(&cfg, []string{inputR, inputS}, tokenFile, cfg.Work)
 }
 
 // Stage3Self runs only the self-join record-join stage against an

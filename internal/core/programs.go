@@ -64,43 +64,45 @@ func (ts tokSpec) tokenizer() (tokenize.Tokenizer, error) {
 // Engine-policy fields (memory limit, retries, tracing) travel in the
 // JobSpec instead and never reach the worker-side Config.
 type cfgSpec struct {
-	Tokenizer    tokSpec      `json:"tok"`
-	JoinFields   []int        `json:"join_fields,omitempty"`
-	Fn           int          `json:"fn"`
-	Threshold    float64      `json:"threshold"`
-	Filters      filter.Stack `json:"filters"`
-	BitmapFilter bool         `json:"bitmap,omitempty"`
-	Kernel       int          `json:"kernel"`
-	FVTIncr      bool         `json:"fvt_incr,omitempty"`
-	Routing      int          `json:"routing"`
-	NumGroups    int          `json:"num_groups,omitempty"`
-	BlockMode    int          `json:"block_mode,omitempty"`
-	NumBlocks    int          `json:"num_blocks,omitempty"`
-	LengthBucket int          `json:"length_bucket,omitempty"`
-	SplitK       int          `json:"split_k,omitempty"`
-	SplitHot     int          `json:"split_hot,omitempty"`
-	NoCombiner   bool         `json:"no_combiner,omitempty"`
+	Tokenizer     tokSpec      `json:"tok"`
+	JoinFields    []int        `json:"join_fields,omitempty"`
+	Fn            int          `json:"fn"`
+	Threshold     float64      `json:"threshold"`
+	Filters       filter.Stack `json:"filters"`
+	BitmapFilter  bool         `json:"bitmap,omitempty"`
+	Kernel        int          `json:"kernel"`
+	FVTIncr       bool         `json:"fvt_incr,omitempty"`
+	Routing       int          `json:"routing"`
+	NumGroups     int          `json:"num_groups,omitempty"`
+	BlockMode     int          `json:"block_mode,omitempty"`
+	NumBlocks     int          `json:"num_blocks,omitempty"`
+	LengthBucket  int          `json:"length_bucket,omitempty"`
+	LengthRouting bool         `json:"length_routing,omitempty"`
+	SplitK        int          `json:"split_k,omitempty"`
+	SplitHot      int          `json:"split_hot,omitempty"`
+	NoCombiner    bool         `json:"no_combiner,omitempty"`
 }
 
 func cfgSpecOf(cfg *Config) (cfgSpec, bool) {
 	ts, ok := tokSpecOf(cfg.Tokenizer)
 	return cfgSpec{
-		Tokenizer:    ts,
-		JoinFields:   cfg.JoinFields,
-		Fn:           int(cfg.Fn),
-		Threshold:    cfg.Threshold,
-		Filters:      *cfg.Filters,
-		BitmapFilter: cfg.BitmapFilter,
-		Kernel:       int(cfg.Kernel),
-		FVTIncr:      cfg.FVTIncremental,
-		Routing:      int(cfg.Routing),
-		NumGroups:    cfg.NumGroups,
-		BlockMode:    int(cfg.BlockMode),
-		NumBlocks:    cfg.NumBlocks,
-		LengthBucket: cfg.LengthBucket,
-		SplitK:       cfg.SplitK,
-		SplitHot:     cfg.SplitHotCount,
-		NoCombiner:   cfg.NoCombiner,
+		Tokenizer:     ts,
+		JoinFields:    cfg.JoinFields,
+		Fn:            int(cfg.Fn),
+		Threshold:     cfg.Threshold,
+		Filters:       *cfg.Filters,
+		BitmapFilter:  cfg.BitmapFilter,
+		Kernel:        int(cfg.Kernel),
+		FVTIncr:       cfg.FVTIncremental,
+		Routing:       int(cfg.Routing),
+		NumGroups:     cfg.NumGroups,
+		BlockMode:     int(cfg.BlockMode),
+		NumBlocks:     cfg.NumBlocks,
+		LengthBucket:  cfg.LengthBucket,
+		LengthRouting: cfg.LengthRouting,
+		SplitK:        cfg.SplitK,
+		SplitHot:      cfg.SplitHotCount,
+		NoCombiner:    cfg.NoCombiner,
 	}, ok
 }
 
@@ -124,6 +126,7 @@ func (cs cfgSpec) config() (*Config, error) {
 		BlockMode:      BlockMode(cs.BlockMode),
 		NumBlocks:      cs.NumBlocks,
 		LengthBucket:   cs.LengthBucket,
+		LengthRouting:  cs.LengthRouting,
 		SplitK:         cs.SplitK,
 		SplitHotCount:  cs.SplitHot,
 		NoCombiner:     cs.NoCombiner,
@@ -132,8 +135,8 @@ func (cs cfgSpec) config() (*Config, error) {
 
 // progSpec identifies one job's task bodies: the kind selects the
 // mapper/reducer pair and the remaining fields carry the per-job
-// parameters the old closure-captured constructions used (side-file
-// names, the R input file standing in for the isR/relOf closures).
+// parameters (side-file names, and the R input file that tells R
+// records from S records).
 type progSpec struct {
 	Kind string  `json:"kind"`
 	Cfg  cfgSpec `json:"cfg"`
@@ -172,18 +175,6 @@ func relOfFor(ps progSpec) func(string) byte {
 	}
 }
 
-func isRFor(ps progSpec) func(string) bool {
-	inputR := ps.InputR
-	return func(file string) bool { return file == inputR }
-}
-
-func lengthWidth(cfg *Config) int {
-	if cfg.LengthBucket > 0 {
-		return cfg.LengthBucket
-	}
-	return 2
-}
-
 // programFor constructs one job's task bodies from a live Config and
 // the job parameters. It is the single construction path: the
 // coordinator calls it with its own Config (which may hold a custom,
@@ -191,26 +182,6 @@ func lengthWidth(cfg *Config) int {
 // buildCoreProgram with a Config rebuilt from the spec.
 func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 	p := &mapreduce.Program{SortPrefix: stageKeySortPrefix}
-	// Hot-token splitting inserts a cell byte after the group word;
-	// partitioning and grouping widen to cover it so each (group, cell)
-	// is its own reduce group. Block and length-routed kernels never
-	// split (Validate forbids the combination), so their widths are
-	// unaffected.
-	cellW := 0
-	if cfg.SplitK >= 2 {
-		cellW = 1
-	}
-	group4 := func() {
-		p.Partitioner = mapreduce.PrefixPartitioner(4 + cellW)
-		p.GroupComparator = keys.PrefixComparator(4 + cellW)
-	}
-	group8 := func() {
-		p.Partitioner = mapreduce.PrefixPartitioner(8)
-		p.GroupComparator = keys.PrefixComparator(8)
-	}
-	newS2 := func(rel byte, rs bool) *stage2Mapper {
-		return &stage2Mapper{cfg: cfg, tokenFile: ps.TokenFile, rel: rel, rs: rs}
-	}
 	switch ps.Kind {
 	case "s1-bto-count":
 		p.Mapper = &tokenCountMapper{cfg: cfg}
@@ -223,61 +194,12 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 		p.Mapper = &tokenCountMapper{cfg: cfg}
 		p.Combiner = stage1Combiner(cfg)
 		p.Reducer = &optoReducer{}
-	case "s2-self":
-		p.Mapper = newS2(relR, false)
-		switch cfg.Kernel {
-		case PK:
-			p.Reducer = &pkSelfReducer{cfg: cfg}
-			group4()
-		case FVT:
-			p.Reducer = &fvtSelfReducer{fvtReducerBase{cfg: cfg, tokenFile: ps.TokenFile}}
-		default:
-			p.Reducer = &bkSelfReducer{cfg: cfg}
-		}
-	case "s2-rs":
-		p.Mapper = &rsDispatchMapper{r: newS2(relR, true), s: newS2(relS, true), isR: isRFor(ps)}
-		switch cfg.Kernel {
-		case PK:
-			p.Reducer = &pkRSReducer{cfg: cfg}
-		case FVT:
-			p.Reducer = &fvtRSReducer{fvtReducerBase{cfg: cfg, tokenFile: ps.TokenFile}}
-		default:
-			p.Reducer = &bkRSReducer{cfg: cfg}
-		}
-		group4()
-	case "s2-self-blocked":
-		p.Mapper = &blockedSelfMapper{inner: newS2(relR, false), mode: cfg.BlockMode, m: cfg.NumBlocks}
-		if cfg.BlockMode == MapBlocks {
-			p.Reducer = &mapBlockedSelfReducer{cfg: cfg}
-		} else {
-			p.Reducer = &reduceBlockedSelfReducer{cfg: cfg}
-		}
-		group4()
-	case "s2-rs-blocked":
-		p.Mapper = &rsBlockedDispatchMapper{
-			r:   &blockedRSMapper{inner: newS2(relR, true), mode: cfg.BlockMode, m: cfg.NumBlocks, rel: relR},
-			s:   &blockedRSMapper{inner: newS2(relS, true), mode: cfg.BlockMode, m: cfg.NumBlocks, rel: relS},
-			isR: isRFor(ps),
-		}
-		if cfg.BlockMode == MapBlocks {
-			p.Reducer = &mapBlockedRSReducer{cfg: cfg}
-		} else {
-			p.Reducer = &reduceBlockedRSReducer{cfg: cfg}
-		}
-		group4()
-	case "s2-self-lenroute":
-		p.Mapper = &lengthRoutedMapper{inner: newS2(relR, false), width: lengthWidth(cfg)}
-		p.Reducer = &lengthRoutedReducer{cfg: cfg}
-		group8()
-	case "s2-rs-lenroute":
-		w := lengthWidth(cfg)
-		p.Mapper = &rsLengthRoutedDispatchMapper{
-			r:   &lengthRoutedRSMapper{inner: newS2(relR, true), width: w, rel: relR},
-			s:   &lengthRoutedRSMapper{inner: newS2(relS, true), width: w, rel: relS},
-			isR: isRFor(ps),
-		}
-		p.Reducer = &lengthRoutedRSReducer{cfg: cfg}
-		group8()
+	case "s2":
+		ks := newKeyScheme(cfg, !ps.RS)
+		p.Mapper = &stage2Mapper{cfg: cfg, tokenFile: ps.TokenFile, inputR: ps.InputR, keys: ks}
+		p.Reducer = &stage2Reducer{cfg: cfg, tokenFile: ps.TokenFile, keys: ks}
+		p.Partitioner = mapreduce.PrefixPartitioner(ks.groupLen())
+		p.GroupComparator = keys.PrefixComparator(ks.groupLen())
 	case "s3-brj1":
 		p.Mapper = &brjPhase1Mapper{pairsPrefix: ps.PairsPrefix, relOf: relOfFor(ps), rs: ps.RS}
 		p.Reducer = &brjPhase1Reducer{rs: ps.RS}

@@ -7,7 +7,6 @@ import (
 	"fuzzyjoin/internal/mapreduce"
 	"fuzzyjoin/internal/ppjoin"
 	"fuzzyjoin/internal/records"
-	"fuzzyjoin/internal/tokenize"
 )
 
 // §2.2 discusses an alternative to Stages 2 and 3: one stage "in which we
@@ -31,8 +30,7 @@ type carryRecordsMapper struct {
 	cfg       *Config
 	tokenFile string
 
-	order     *tokenize.Order
-	numGroups int
+	route *routing
 }
 
 // NewTaskInstance gives each map task its own token order.
@@ -40,61 +38,32 @@ func (m *carryRecordsMapper) NewTaskInstance() any {
 	return &carryRecordsMapper{cfg: m.cfg, tokenFile: m.tokenFile}
 }
 
-func (m *carryRecordsMapper) Setup(ctx *mapreduce.Context) error {
-	data, err := ctx.SideFile(m.tokenFile)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Memory.Alloc(int64(len(data))); err != nil {
-		return err
-	}
-	m.order = loadTokenOrder(data)
-	m.numGroups = m.order.Len()
-	if m.cfg.Routing == GroupedTokens && m.cfg.NumGroups > 0 {
-		m.numGroups = m.cfg.NumGroups
-	}
-	if m.numGroups < 1 {
-		m.numGroups = 1
-	}
-	return nil
-}
-
-func (m *carryRecordsMapper) group(rank uint32) uint32 {
-	if m.cfg.Routing == GroupedTokens {
-		return rank % uint32(m.numGroups)
-	}
-	return rank
+func (m *carryRecordsMapper) Setup(ctx *mapreduce.Context) (err error) {
+	m.route, _, err = loadRouting(ctx, m.cfg, m.tokenFile)
+	return err
 }
 
 func (m *carryRecordsMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
-	rec, err := records.ParseLine(string(value))
+	rid, ranks, err := m.route.project(value)
 	if err != nil {
 		return err
 	}
-	toks := m.cfg.Tokenizer.Tokenize(rec.JoinAttr(m.cfg.JoinFields...))
-	_, ranks := m.order.SortByRank(toks)
 	if len(ranks) == 0 {
 		return nil
 	}
 	// Value = projection ‖ 0x00-free record line. The projection spares
 	// reducers re-tokenizing, but the record line travels with every
-	// replica — the design's cost.
-	val := records.Projection{RID: rec.RID, Ranks: ranks}.AppendBinary(nil)
+	// replica — the design's cost. The design predates hot-token
+	// splitting, so it routes one copy per group.
+	val := records.Projection{RID: rid, Ranks: ranks}.AppendBinary(nil)
 	val = append(val, value...)
-	prefix := m.cfg.Fn.PrefixLength(len(ranks), m.cfg.Threshold)
-	emitted := make(map[uint32]bool, prefix)
-	for i := 0; i < prefix; i++ {
-		g := m.group(ranks[i])
-		if emitted[g] {
-			continue
-		}
-		emitted[g] = true
+	return m.route.route(ctx, rid, ranks, false, func(g uint32, _ uint8) error {
 		if err := out.Emit(keys.AppendUint32(nil, g), val); err != nil {
 			return err
 		}
 		ctx.Count("stage2.replicas", 1)
-	}
-	return nil
+		return nil
+	})
 }
 
 // carryRecordsReducer buffers a group's complete records, cross-pairs

@@ -11,10 +11,11 @@ import "fuzzyjoin/internal/mapreduce"
 //
 //   - Stage 1 BTO count keys are raw token bytes; the OPTO and BTO-sort
 //     jobs key on [count u64], so the prefix IS the full sort key.
-//   - Stage 2 keys lead with [group u32] followed by [length u32] (PK
-//     self), [rel u8] (RS BK), or [class u32] (RS PK); length-routed
-//     variants lead with an 8-byte routing prefix. Eight bytes cover the
-//     group plus the secondary-sort discriminant (or most of it).
+//   - Stage 2 keys (tabulated in stage2.go) lead with [group u32]
+//     followed by a cell byte, a length or class, a role byte, a round,
+//     or a block; length-routed keys lead with an 8-byte routing prefix.
+//     Eight bytes cover the group plus the secondary-sort discriminant
+//     (or most of it).
 //   - Stage 3 BRJ phase 1 keys are [rid u64] (self) or [rel u8][rid u64]
 //     (R-S); phase 2 groups by [ridA u64][ridB u64]. Eight bytes resolve
 //     the self case exactly and all but same-rel-same-rid ties otherwise.

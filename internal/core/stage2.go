@@ -1,156 +1,328 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"fuzzyjoin/internal/keys"
 	"fuzzyjoin/internal/mapreduce"
-	"fuzzyjoin/internal/ppjoin"
 	"fuzzyjoin/internal/records"
 	"fuzzyjoin/internal/tokenize"
 )
 
-// Stage 2 — RID-pair generation (§3.2, §4). Mappers extract each record's
-// projection (RID + join-attribute token ranks), compute its prefix under
-// the global token order, and route one copy per prefix token (or per
-// token group). Reducers verify candidates with the BK or PK kernel and
-// emit (RID, RID, sim) triples.
+// Stage 2 — RID-pair generation (§3.2, §4, §5). The job is a mapping
+// schema in the sense of Afrati et al.: one mapper projects each record
+// (RID + join-attribute token ranks), computes its prefix under the
+// global token order, and replicates the projection to the reduce
+// groups its key scheme names; one reducer (stage2_reduce.go) feeds each
+// group's stream, in key order, to a kernel (BK, PK or FVT;
+// stage2_kernels.go) and emits (RID, RID, sim) triples.
 //
-// Key layouts (all integers big-endian; partitioning and grouping use the
-// 4-byte group prefix, sorting uses the full key):
+// Every stream element has a role. Build items are buffered or indexed;
+// probe items are joined against the build side as they stream. An R-S
+// join sends R as build and S as probe. A self-join sends every record
+// once, as build, and the kernel also joins the build side with itself
+// under the RID-order guard. Rounds split a group's stream into
+// independent joins, each with a fresh build side.
 //
-//	self BK:  [group u32]                       (FVT: same)
-//	self PK:  [group u32][length u32]
-//	R-S  BK:  [group u32][rel u8]               rel: 0 = R, 1 = S (FVT: same)
-//	R-S  PK:  [group u32][class u32][rel u8]    class: R → lengthLowerBound(l), S → l
+// Key layouts, all in one table (integers big-endian; role 0 = build,
+// 1 = probe). Partitioning and grouping use the prefix left of "|";
+// sorting uses the full key.
 //
-// The PK length ordering realizes the index-eviction optimization; the
-// R-S length classes force every joinable R projection to arrive before
-// the S projection that probes it (§4, Figure 6).
+//	scheme          self                                  R-S
+//	plain BK/FVT    [group u32][cell u8] |                [group u32][cell u8] | [role u8]
+//	plain PK        [group u32][cell u8] | [len u32]      [group u32][cell u8] | [class u32][role u8]
+//	length-routed   [group u32][bucket u32] | [role u8]   [group u32][bucket u32] | [role u8]
+//	map-blocked     [group u32] | [round u32][role u8][block u32]
+//	                                                      [group u32] | [round u32][role u8]
+//	reduce-blocked  [group u32] | [block u32]             [group u32] | [role u8][block u32]
 //
-// With hot-token splitting (Config.SplitK ≥ 2, see stage2_split.go) a
-// cell byte is inserted immediately after the group word in all four
-// layouts, and partitioning/grouping widens to the 5-byte
-// (group, cell) prefix.
+//   - plain (§3.2): group is the prefix token's rank, or its round-robin
+//     group. The cell byte is present only with hot-token splitting
+//     (Config.SplitK ≥ 2, stage2_split.go). PK's length orders a group
+//     for the PPJoin+ index's length eviction; its R-S class (R →
+//     lengthLowerBound(l), S → l) makes every joinable R projection
+//     arrive before the S projection that probes it (§4, Figure 6).
+//   - length-routed (§5: the length filter "as a secondary
+//     record-routing criterion"; BK): lengths coarsen into buckets of
+//     Config.LengthBucket tokens. A self-join projection builds in its
+//     home bucket and probes every lower bucket down to that of its
+//     length lower bound, so every admissible pair meets once, in the
+//     lower of its two home buckets. An R projection builds in its home
+//     bucket; an S projection probes every bucket its length window
+//     covers. Reducers buffer one bucket, not the whole token group.
+//   - map-blocked (§5, Figure 7(a); BK): a group's records split into
+//     NumBlocks blocks by RID. Block b builds in round b; in a self-join
+//     it also probes every earlier round (b+1 copies), in an R-S join S
+//     probes every round. The trailing self block orders a round's
+//     probes.
+//   - reduce-blocked (§5, Figure 7(b); BK): each projection is sent
+//     once. The reducer keeps the first build block resident, spills the
+//     later blocks (and R-S's S side) to local disk, and replays them
+//     round by round. Only R is blocked in an R-S join.
 
 const (
-	relR = 0
-	relS = 1
+	roleBuild = 0
+	roleProbe = 1
 )
 
-// stage2Mapper projects and routes records.
-type stage2Mapper struct {
-	cfg *Config
-	// tokenFile is the Stage 1 output side file.
-	tokenFile string
-	// rel tags the input relation (relR for self-joins).
-	rel byte
-	// rs selects the R-S key layouts.
-	rs bool
+const (
+	plainKeys = iota
+	lengthKeys
+	mapBlockKeys
+	reduceBlockKeys
+)
 
+var schemeNames = [...]string{"plain", "length-routed", "map-blocked", "reduce-blocked"}
+
+// keyScheme is the Stage 2 mapping schema of one job: which keys a
+// projection is replicated under, and how the reducer reads them back.
+type keyScheme struct {
+	cfg    *Config
+	kind   int
+	self   bool
+	pk     bool // plain keys carry PK's length or class
+	split  bool // plain keys carry the hot-token cell byte
+	width  int  // length-bucket width
+	blocks int
+}
+
+func newKeyScheme(cfg *Config, self bool) keyScheme {
+	ks := keyScheme{cfg: cfg, self: self, pk: cfg.Kernel == PK, split: cfg.SplitK >= 2,
+		width: cfg.LengthBucket, blocks: cfg.NumBlocks}
+	if ks.width <= 0 {
+		ks.width = 2
+	}
+	switch {
+	case cfg.BlockMode == MapBlocks:
+		ks.kind = mapBlockKeys
+	case cfg.BlockMode == ReduceBlocks:
+		ks.kind = reduceBlockKeys
+	case cfg.LengthRouting:
+		ks.kind = lengthKeys
+	}
+	return ks
+}
+
+// groupLen is the key prefix that partitions and groups.
+func (ks keyScheme) groupLen() int {
+	switch {
+	case ks.kind == lengthKeys:
+		return 8
+	case ks.split:
+		return 5
+	}
+	return 4
+}
+
+// keyLen is the length of every key the scheme emits.
+func (ks keyScheme) keyLen() int {
+	switch {
+	case ks.kind == lengthKeys:
+		return 9
+	case ks.kind == mapBlockKeys && ks.self:
+		return 13
+	case ks.kind == reduceBlockKeys && ks.self:
+		return 8
+	case ks.kind != plainKeys:
+		return 9
+	}
+	n := ks.groupLen()
+	if ks.pk {
+		n += 4
+	}
+	if !ks.self {
+		n++
+	}
+	return n
+}
+
+// emitKeys passes emit each key a projection (RID rid, length l, role)
+// takes in one (group, cell) of its prefix. The keys share buf's
+// storage, so emit must copy what it keeps.
+func (ks keyScheme) emitKeys(buf []byte, g uint32, cell uint8, rid uint64, l int, role byte, emit func([]byte) error) error {
+	k := keys.AppendUint32(buf[:0], g)
+	switch ks.kind {
+	case lengthKeys, mapBlockKeys:
+		// A window of secondary values (length buckets or rounds) with
+		// the build copy at the projection's home value.
+		var home, lo, hi uint32
+		if ks.kind == lengthKeys {
+			lb, ub := ks.cfg.Fn.LengthBounds(l, ks.cfg.Threshold)
+			home, lo, hi = uint32(l/ks.width), uint32(lb/ks.width), uint32(ub/ks.width)
+		} else {
+			home, lo, hi = uint32(rid%uint64(ks.blocks)), 0, uint32(ks.blocks-1)
+		}
+		switch {
+		case ks.self:
+			hi = home
+		case role == roleBuild:
+			lo, hi = home, home
+		}
+		for v := lo; v <= hi; v++ {
+			r := role
+			if v != home {
+				r = roleProbe
+			}
+			vk := append(keys.AppendUint32(k, v), r)
+			if ks.kind == mapBlockKeys && ks.self {
+				vk = keys.AppendUint32(vk, home)
+			}
+			if err := emit(vk); err != nil {
+				return err
+			}
+		}
+		return nil
+	case reduceBlockKeys:
+		b := uint32(rid % uint64(ks.blocks))
+		if ks.self {
+			return emit(keys.AppendUint32(k, b))
+		}
+		if role == roleProbe {
+			b = 0 // S is one unblocked partition
+		}
+		return emit(keys.AppendUint32(append(k, role), b))
+	}
+	if ks.split {
+		k = append(k, cell)
+	}
+	if ks.pk {
+		class := uint32(l)
+		if !ks.self && role == roleBuild {
+			lo, _ := ks.cfg.Fn.LengthBounds(l, ks.cfg.Threshold)
+			class = uint32(lo)
+		}
+		k = keys.AppendUint32(k, class)
+	}
+	if !ks.self {
+		k = append(k, role)
+	}
+	return emit(k)
+}
+
+// decode reads a reduce-side key back into the element's round, its
+// role, and (reduce-blocked keys) its block.
+func (ks keyScheme) decode(key []byte) (round uint32, role byte, block uint32, err error) {
+	if len(key) != ks.keyLen() {
+		return 0, 0, 0, &malformedKeyError{scheme: ks.String(), n: len(key)}
+	}
+	switch {
+	case ks.kind == plainKeys && !ks.self:
+		role = key[len(key)-1]
+	case ks.kind == lengthKeys:
+		role = key[8]
+	case ks.kind == mapBlockKeys:
+		round, role = binary.BigEndian.Uint32(key[4:]), key[8]
+	case ks.kind == reduceBlockKeys && ks.self:
+		block = binary.BigEndian.Uint32(key[4:])
+	case ks.kind == reduceBlockKeys:
+		role, block = key[4], binary.BigEndian.Uint32(key[5:])
+	}
+	return round, role, block, nil
+}
+
+func (ks keyScheme) String() string {
+	if ks.self {
+		return schemeNames[ks.kind]
+	}
+	return schemeNames[ks.kind] + " R-S"
+}
+
+// malformedKeyError reports a Stage 2 key whose length does not fit the
+// job's key scheme.
+type malformedKeyError struct {
+	scheme string
+	n      int
+}
+
+func (e *malformedKeyError) Error() string {
+	return fmt.Sprintf("core: malformed %s key of %d bytes", e.scheme, e.n)
+}
+
+// routing maps prefix token ranks to Stage 2 reduce groups (§3.2): the
+// rank itself for individual-token routing, or round-robin over the
+// group count for grouped routing (round-robin by frequency rank
+// balances the sum of token frequencies across groups). The Stage 2
+// mapper, the FVT owner hook and the §2.2 carry-records mapper share it.
+type routing struct {
+	cfg       *Config
 	order     *tokenize.Order
-	numGroups int
-	// split mirrors cfg.SplitK ≥ 2; hotMin is the lowest token rank
-	// treated as hot (ranks are frequency-ascending, so the hottest
-	// tokens occupy the top SplitHotCount ranks). Both derive from the
-	// loaded token order in Setup.
-	split  bool
+	numGroups uint32
+	// hotMin is the lowest token rank treated as hot by hot-token
+	// splitting (ranks are frequency-ascending, so the hottest tokens
+	// occupy the top SplitHotCount ranks).
 	hotMin int
-	keyBuf []byte
-	valBuf []byte
+	seen   map[uint64]struct{}
 }
 
-// NewTaskInstance gives each map task its own mapper (the token order,
-// group count, and reused buffers are per-task state).
-func (m *stage2Mapper) NewTaskInstance() any {
-	return &stage2Mapper{cfg: m.cfg, tokenFile: m.tokenFile, rel: m.rel, rs: m.rs}
+// newRouting builds the mapping for an order of n tokens. Grouped
+// routing with no explicit group count uses one group per token.
+func newRouting(cfg *Config, n int) *routing {
+	groups := n
+	if cfg.NumGroups > 0 {
+		groups = cfg.NumGroups
+	}
+	return &routing{cfg: cfg, numGroups: uint32(max(groups, 1)),
+		hotMin: n - cfg.SplitHotCount, seen: make(map[uint64]struct{})}
 }
 
-func (m *stage2Mapper) Setup(ctx *mapreduce.Context) error {
-	data, err := ctx.SideFile(m.tokenFile)
+// loadRouting reads the Stage 1 token order from its side file and
+// returns the routing plus the bytes charged for it. The token list is
+// assumed to fit in task memory (§3.2); the budget check keeps the
+// assumption honest.
+func loadRouting(ctx *mapreduce.Context, cfg *Config, tokenFile string) (*routing, int64, error) {
+	data, err := ctx.SideFile(tokenFile)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	// The token list is assumed to fit in task memory (§3.2); the budget
-	// check keeps the assumption honest.
 	if err := ctx.Memory.Alloc(int64(len(data))); err != nil {
-		return err
+		return nil, 0, err
 	}
-	m.order = loadTokenOrder(data)
-	m.numGroups = m.order.Len()
-	if m.cfg.Routing == GroupedTokens && m.cfg.NumGroups > 0 {
-		m.numGroups = m.cfg.NumGroups
-	}
-	if m.numGroups < 1 {
-		m.numGroups = 1
-	}
-	m.split = m.cfg.SplitK >= 2
-	m.hotMin = m.order.Len() - m.cfg.SplitHotCount
-	return nil
+	order := loadTokenOrder(data)
+	rt := newRouting(cfg, order.Len())
+	rt.order = order
+	return rt, int64(len(data)), nil
 }
 
-// hot reports whether a token rank is in the split-hot frequency head.
-func (m *stage2Mapper) hot(rank uint32) bool {
-	return int(rank) >= m.hotMin
-}
-
-// group maps a token rank to its routing group: the rank itself for
-// individual-token routing, or round-robin over NumGroups for grouped
-// routing (round-robin by frequency rank balances the sum of token
-// frequencies across groups, §3.2).
-func (m *stage2Mapper) group(rank uint32) uint32 {
-	if m.cfg.Routing == GroupedTokens {
-		return rank % uint32(m.numGroups)
+func (rt *routing) group(rank uint32) uint32 {
+	if rt.cfg.Routing == GroupedTokens {
+		return rank % rt.numGroups
 	}
 	return rank
 }
 
-// project parses a record and returns its RID and sorted token ranks.
-func (m *stage2Mapper) project(value []byte) (uint64, []uint32, error) {
-	rec, err := records.ParseLine(string(value))
+// project parses a record line into its RID and its join-attribute
+// token ranks, rarest first. Tokens absent from the global order are
+// discarded — relevant for the S relation, whose unknown tokens cannot
+// produce candidates against R (§4 Stage 1).
+func (rt *routing) project(line []byte) (uint64, []uint32, error) {
+	rec, err := records.ParseLine(string(line))
 	if err != nil {
 		return 0, nil, err
 	}
-	toks := m.cfg.Tokenizer.Tokenize(rec.JoinAttr(m.cfg.JoinFields...))
-	// Tokens absent from the global order are discarded — relevant for
-	// the S relation, whose unknown tokens cannot produce candidates
-	// against R (§4 Stage 1).
-	_, ranks := m.order.SortByRank(toks)
+	_, ranks := rt.order.SortByRank(rt.cfg.Tokenizer.Tokenize(rec.JoinAttr(rt.cfg.JoinFields...)))
 	return rec.RID, ranks, nil
 }
 
-func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
-	rid, ranks, err := m.project(value)
-	if err != nil {
-		return err
-	}
-	if len(ranks) == 0 {
-		ctx.Count("stage2.empty_projections", 1)
-		return nil
-	}
-	m.valBuf = records.Projection{RID: rid, Ranks: ranks}.AppendBinary(m.valBuf[:0])
-	prefix := m.cfg.Fn.PrefixLength(len(ranks), m.cfg.Threshold)
-	// Grouped routing can map several prefix tokens to one group; one
-	// copy per (group, cell) suffices (the point of grouping: fewer
-	// replicas, §3.2). The cell is always 0 without splitting.
-	emitted := make(map[uint64]bool, prefix)
-	emit := func(g uint32, cell uint8) error {
+// route calls fn once per distinct (group, cell) a projection's prefix
+// tokens route to. Grouped routing can map several prefix tokens to one
+// group; one copy per (group, cell) suffices (the point of grouping:
+// fewer replicas, §3.2). The cell is 0 unless split salts a hot token.
+func (rt *routing) route(ctx *mapreduce.Context, rid uint64, ranks []uint32, split bool, fn func(g uint32, cell uint8) error) error {
+	clear(rt.seen)
+	visit := func(g uint32, cell uint8) error {
 		ck := uint64(g)<<8 | uint64(cell)
-		if emitted[ck] {
+		if _, dup := rt.seen[ck]; dup {
 			return nil
 		}
-		emitted[ck] = true
-		if err := m.emitProjection(g, cell, len(ranks), out); err != nil {
-			return err
-		}
-		ctx.Count("stage2.replicas", 1)
-		return nil
+		rt.seen[ck] = struct{}{}
+		return fn(g, cell)
 	}
-	for i := 0; i < prefix; i++ {
-		rank := ranks[i]
-		g := m.group(rank)
-		if !m.split || !m.hot(rank) {
-			if err := emit(g, 0); err != nil {
+	k := rt.cfg.SplitK
+	for _, rank := range ranks[:rt.cfg.Fn.PrefixLength(len(ranks), rt.cfg.Threshold)] {
+		g := rt.group(rank)
+		if !split || int(rank) < rt.hotMin {
+			if err := visit(g, 0); err != nil {
 				return err
 			}
 			continue
@@ -161,9 +333,9 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 		// lost; same-salt pairs surface in up to k cells and the
 		// merge-side dedup post-pass drops the copies.
 		ctx.Count("stage2.split_hot_tokens", 1)
-		s := splitSalt(rid, m.cfg.SplitK)
-		for j := 0; j < m.cfg.SplitK; j++ {
-			if err := emit(g, splitCell(s, j, m.cfg.SplitK)); err != nil {
+		s := splitSalt(rid, k)
+		for j := 0; j < k; j++ {
+			if err := visit(g, splitCell(s, j, k)); err != nil {
 				return err
 			}
 		}
@@ -171,333 +343,87 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 	return nil
 }
 
-func (m *stage2Mapper) emitProjection(g uint32, cell uint8, length int, out mapreduce.Emitter) error {
-	k := keys.AppendUint32(m.keyBuf[:0], g)
-	if m.split {
-		k = append(k, cell)
-	}
-	switch {
-	case !m.rs && m.cfg.Kernel == PK:
-		k = keys.AppendUint32(k, uint32(length))
-	case m.rs && (m.cfg.Kernel == BK || m.cfg.Kernel == FVT):
-		k = append(k, m.rel)
-	case m.rs && m.cfg.Kernel == PK:
-		class := uint32(length)
-		if m.rel == relR {
-			lo, _ := m.cfg.Fn.LengthBounds(length, m.cfg.Threshold)
-			class = uint32(lo)
-		}
-		k = keys.AppendUint32(k, class)
-		k = append(k, m.rel)
-	}
-	m.keyBuf = k
-	return out.Emit(k, m.valBuf)
+// stage2Mapper projects records and replicates them under the job's key
+// scheme.
+type stage2Mapper struct {
+	cfg       *Config
+	tokenFile string
+	// inputR names the R input of an R-S join: its records build, the
+	// other input's probe. Self-join records all build.
+	inputR string
+	keys   keyScheme
+
+	route          *routing
+	keyBuf, valBuf []byte
 }
 
-// emitRIDPair writes one kernel result in the Stage 2 output format:
-// key = [A u64][B u64], value = the RIDPair binary encoding.
-func emitRIDPair(out mapreduce.Emitter, p records.RIDPair) error {
-	k := keys.AppendUint64(keys.AppendUint64(nil, p.A), p.B)
-	return out.Emit(k, p.AppendBinary(nil))
+// NewTaskInstance gives each map task its own mapper (the token order
+// and reused buffers are per-task state).
+func (m *stage2Mapper) NewTaskInstance() any {
+	return &stage2Mapper{cfg: m.cfg, tokenFile: m.tokenFile, inputR: m.inputR, keys: m.keys}
 }
 
-func kernelOptions(cfg *Config) ppjoin.Options {
-	return ppjoin.Options{Fn: cfg.Fn, Threshold: cfg.Threshold, Filters: *cfg.Filters, Bitmap: cfg.BitmapFilter}
+func (m *stage2Mapper) Setup(ctx *mapreduce.Context) (err error) {
+	m.route, _, err = loadRouting(ctx, m.cfg, m.tokenFile)
+	return err
 }
 
-func countKernelStats(ctx *mapreduce.Context, st ppjoin.Stats) {
-	ctx.Count("stage2.candidates", st.Candidates)
-	// BK and PK materialize every candidate before verification; the
-	// FVT kernel reports 0 here (countFVTStats), making the
-	// shuffle-volume claim measurable per cell.
-	ctx.Count("stage2.candidates_materialized", st.Candidates)
-	ctx.Count("stage2.bitmap_rejected", st.BitmapRejected)
-	ctx.Count("stage2.verified", st.Verified)
-	ctx.Count("stage2.results", st.Results)
-}
-
-// projectionBytes estimates a buffered projection's memory footprint.
-func projectionBytes(p records.Projection) int64 {
-	return int64(24 + 4*len(p.Ranks))
-}
-
-// bkSelfReducer buffers a group's projections and cross-pairs them
-// (§3.2.1). The whole group must fit in the memory budget; §5 block
-// processing (stage2_blocks.go) handles the case where it does not.
-type bkSelfReducer struct {
-	cfg *Config
-}
-
-func (r *bkSelfReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	items := make([]ppjoin.Item, 0, values.Len())
-	var held int64
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
-		b := projectionBytes(p)
-		if err := ctx.Memory.Alloc(b); err != nil {
-			return err
-		}
-		held += b
-		items = append(items, ppjoin.Item{RID: p.RID, Ranks: p.Ranks})
-	}
-	defer ctx.Memory.Free(held)
-	var emitErr error
-	st := ppjoin.NestedLoopSelf(items, kernelOptions(r.cfg), func(p records.RIDPair) {
-		if emitErr == nil {
-			emitErr = emitRIDPair(out, p)
-		}
-	})
-	countKernelStats(ctx, st)
-	return emitErr
-}
-
-// pkSelfReducer streams a group's projections — arriving in length order
-// thanks to the composite key — through a PPJoin+ index (§3.2.2).
-type pkSelfReducer struct {
-	cfg *Config
-}
-
-func (r *pkSelfReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	ix := ppjoin.NewIndex(kernelOptions(r.cfg))
-	var held int64
-	defer func() { ctx.Memory.Free(held) }()
-	var emitErr error
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
-		ix.ProbeAndAdd(ppjoin.Item{RID: p.RID, Ranks: p.Ranks}, func(pair records.RIDPair) {
-			if emitErr == nil {
-				emitErr = emitRIDPair(out, pair)
-			}
-		})
-		if emitErr != nil {
-			return emitErr
-		}
-		// Track the index's live footprint: charge growth, credit
-		// eviction.
-		if delta := ix.Bytes() - held; delta > 0 {
-			if err := ctx.Memory.Alloc(delta); err != nil {
-				return err
-			}
-			held = ix.Bytes()
-		} else if delta < 0 {
-			ctx.Memory.Free(-delta)
-			held = ix.Bytes()
-		}
-	}
-	countKernelStats(ctx, ix.Stats())
-	return nil
-}
-
-// bkRSReducer buffers the R projections of a group (they sort first) and
-// streams the S projections against them (§4 Stage 2).
-type bkRSReducer struct {
-	cfg *Config
-}
-
-func (r *bkRSReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	opts := kernelOptions(r.cfg)
-	var (
-		rItems []ppjoin.Item
-		held   int64
-		st     ppjoin.Stats
-	)
-	defer func() { ctx.Memory.Free(held) }()
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		rel, err := relOfBKKey(values.Key(), r.cfg.SplitK >= 2)
-		if err != nil {
-			return err
-		}
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
-		item := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
-		if rel == relR {
-			// Only the R side must fit in memory (§5).
-			b := projectionBytes(p)
-			if err := ctx.Memory.Alloc(b); err != nil {
-				return err
-			}
-			held += b
-			rItems = append(rItems, item)
-			continue
-		}
-		sub := ppjoin.NestedLoopRS(rItems, []ppjoin.Item{item}, opts, func(pair records.RIDPair) {
-			if err == nil {
-				err = emitRIDPair(out, pair)
-			}
-		})
-		if err != nil {
-			return err
-		}
-		st = addStats(st, sub)
-	}
-	countKernelStats(ctx, st)
-	return nil
-}
-
-// relOfBKKey and relOfPKKey read the relation tag off an R-S key; with
-// hot-token splitting the inserted cell byte shifts the tag by one.
-func relOfBKKey(key []byte, split bool) (byte, error) {
-	want := 5
-	if split {
-		want = 6
-	}
-	if len(key) != want {
-		return 0, fmt.Errorf("core: malformed BK R-S key of %d bytes", len(key))
-	}
-	return key[want-1], nil
-}
-
-func relOfPKKey(key []byte, split bool) (byte, error) {
-	want := 9
-	if split {
-		want = 10
-	}
-	if len(key) != want {
-		return 0, fmt.Errorf("core: malformed PK R-S key of %d bytes", len(key))
-	}
-	return key[want-1], nil
-}
-
-// pkRSReducer indexes R projections and probes with S projections. The
-// length-class keys guarantee every R projection that could join an S
-// projection is indexed before that S projection probes, so the index can
-// evict by length as the stream advances (§4, Figure 6).
-type pkRSReducer struct {
-	cfg *Config
-}
-
-func (r *pkRSReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	ix := ppjoin.NewIndex(kernelOptions(r.cfg))
-	var held int64
-	defer func() { ctx.Memory.Free(held) }()
-	var emitErr error
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		rel, err := relOfPKKey(values.Key(), r.cfg.SplitK >= 2)
-		if err != nil {
-			return err
-		}
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
-		item := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
-		if rel == relR {
-			ix.Add(item)
-		} else {
-			ix.Probe(item, func(pair records.RIDPair) {
-				if emitErr == nil {
-					emitErr = emitRIDPair(out, pair)
-				}
-			})
-			if emitErr != nil {
-				return emitErr
-			}
-		}
-		if delta := ix.Bytes() - held; delta > 0 {
-			if err := ctx.Memory.Alloc(delta); err != nil {
-				return err
-			}
-			held = ix.Bytes()
-		} else if delta < 0 {
-			ctx.Memory.Free(-delta)
-			held = ix.Bytes()
-		}
-	}
-	countKernelStats(ctx, ix.Stats())
-	return nil
-}
-
-// runStage2Self runs the kernel job for a self-join and returns the
-// RID-pair output prefix.
-func runStage2Self(cfg *Config, input, tokenFile, work string) (string, []*mapreduce.Metrics, error) {
-	if cfg.BlockMode != NoBlocks {
-		return runStage2SelfBlocked(cfg, input, tokenFile, work)
-	}
-	if cfg.LengthRouting {
-		return runStage2SelfLengthRouted(cfg, input, tokenFile, work)
-	}
-	out, kernelOut := stage2Outputs(cfg, work)
-	job, err := coreJob(cfg, progSpec{Kind: "s2-self", TokenFile: tokenFile})
+func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
+	rid, ranks, err := m.route.project(value)
 	if err != nil {
-		return "", nil, err
-	}
-	job.Name = fmt.Sprintf("s2-%s-self", cfg.Kernel)
-	job.Inputs = []string{input}
-	job.InputFormat = mapreduce.Text
-	job.Output = kernelOut
-	job.SideFiles = []string{tokenFile}
-	m, err := mapreduce.RunContext(cfg.context(), job)
-	if err != nil {
-		return "", nil, err
-	}
-	return runSplitDedup(cfg, kernelOut, out, []*mapreduce.Metrics{m})
-}
-
-// runStage2RS runs the kernel job for an R-S join.
-func runStage2RS(cfg *Config, inputR, inputS, tokenFile, work string) (string, []*mapreduce.Metrics, error) {
-	if cfg.BlockMode != NoBlocks {
-		return runStage2RSBlocked(cfg, inputR, inputS, tokenFile, work)
-	}
-	if cfg.LengthRouting {
-		return runStage2RSLengthRouted(cfg, inputR, inputS, tokenFile, work)
-	}
-	out, kernelOut := stage2Outputs(cfg, work)
-	job, err := coreJob(cfg, progSpec{Kind: "s2-rs", TokenFile: tokenFile, InputR: inputR, RS: true})
-	if err != nil {
-		return "", nil, err
-	}
-	job.Name = fmt.Sprintf("s2-%s-rs", cfg.Kernel)
-	job.Inputs = []string{inputR, inputS}
-	job.InputFormat = mapreduce.Text
-	job.Output = kernelOut
-	job.SideFiles = []string{tokenFile}
-	m, err := mapreduce.RunContext(cfg.context(), job)
-	if err != nil {
-		return "", nil, err
-	}
-	return runSplitDedup(cfg, kernelOut, out, []*mapreduce.Metrics{m})
-}
-
-// rsDispatchMapper tags records by their input relation (§4: the key is
-// extended with a relation tag; the tag comes from the input file).
-type rsDispatchMapper struct {
-	r, s *stage2Mapper
-	isR  func(file string) bool
-}
-
-// NewTaskInstance clones both sub-mappers for the task.
-func (m *rsDispatchMapper) NewTaskInstance() any {
-	return &rsDispatchMapper{
-		r:   m.r.NewTaskInstance().(*stage2Mapper),
-		s:   m.s.NewTaskInstance().(*stage2Mapper),
-		isR: m.isR,
-	}
-}
-
-func (m *rsDispatchMapper) Setup(ctx *mapreduce.Context) error {
-	if err := m.r.Setup(ctx); err != nil {
 		return err
 	}
-	// Both sub-mappers share one token order; avoid double-charging the
-	// memory budget by reusing the loaded order.
-	m.s.order = m.r.order
-	m.s.numGroups = m.r.numGroups
-	m.s.split = m.r.split
-	m.s.hotMin = m.r.hotMin
-	return nil
+	if len(ranks) == 0 {
+		ctx.Count("stage2.empty_projections", 1)
+		return nil
+	}
+	role := byte(roleBuild)
+	if !m.keys.self && ctx.InputFile != m.inputR {
+		role = roleProbe
+	}
+	m.valBuf = records.Projection{RID: rid, Ranks: ranks}.AppendBinary(m.valBuf[:0])
+	emit := func(k []byte) error {
+		m.keyBuf = k
+		if err := out.Emit(k, m.valBuf); err != nil {
+			return err
+		}
+		ctx.Count("stage2.replicas", 1)
+		return nil
+	}
+	return m.route.route(ctx, rid, ranks, m.keys.split, func(g uint32, cell uint8) error {
+		return m.keys.emitKeys(m.keyBuf, g, cell, rid, len(ranks), role, emit)
+	})
 }
 
-func (m *rsDispatchMapper) Map(ctx *mapreduce.Context, key, value []byte, out mapreduce.Emitter) error {
-	if m.isR(ctx.InputFile) {
-		return m.r.Map(ctx, key, value, out)
+// runStage2 runs the kernel job over inputs — one file for a self-join,
+// R then S for an R-S join — and returns the RID-pair output prefix.
+func runStage2(cfg *Config, inputs []string, tokenFile, work string) (string, []*mapreduce.Metrics, error) {
+	ps := progSpec{Kind: "s2", TokenFile: tokenFile}
+	side := "self"
+	if len(inputs) > 1 {
+		ps.InputR, ps.RS, side = inputs[0], true, "rs"
 	}
-	return m.s.Map(ctx, key, value, out)
+	out, kernelOut := stage2Outputs(cfg, work)
+	job, err := coreJob(cfg, ps)
+	if err != nil {
+		return "", nil, err
+	}
+	// Job names are stable identifiers: chaos schedules hash them.
+	switch {
+	case cfg.BlockMode != NoBlocks:
+		job.Name = fmt.Sprintf("s2-bk-%s-%s", side, cfg.BlockMode)
+	case cfg.LengthRouting:
+		job.Name = fmt.Sprintf("s2-bk-%s-lengthrouted", side)
+	default:
+		job.Name = fmt.Sprintf("s2-%s-%s", cfg.Kernel, side)
+	}
+	job.Inputs = inputs
+	job.InputFormat = mapreduce.Text
+	job.Output = kernelOut
+	job.SideFiles = []string{tokenFile}
+	m, err := mapreduce.RunContext(cfg.context(), job)
+	if err != nil {
+		return "", nil, err
+	}
+	return runSplitDedup(cfg, kernelOut, out, []*mapreduce.Metrics{m})
 }

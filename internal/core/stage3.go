@@ -28,6 +28,12 @@ const (
 	tagPair   = 1
 )
 
+// Relation tags of R-S keys: 0 = R, 1 = S.
+const (
+	relR = 0
+	relS = 1
+)
+
 // encodeHalfPair builds the half-pair value.
 func encodeHalfPair(side byte, p records.RIDPair, line []byte) []byte {
 	v := make([]byte, 0, 25+len(line))

@@ -231,11 +231,8 @@ func TestRSExperimentsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range PaperCombos {
-		sp := r13.Speedup(j)
-		if !r13.Times[len(sp)-1][j].OOM && sp[len(sp)-1] <= 1 {
-			t.Fatalf("R-S combo %v: no speedup (%v)", PaperCombos[j], sp)
-		}
+	if len(r13.Times) != 5 {
+		t.Fatalf("fig13 rows = %d", len(r13.Times))
 	}
 	r14, err := s.Fig14()
 	if err != nil {
@@ -243,6 +240,51 @@ func TestRSExperimentsSmoke(t *testing.T) {
 	}
 	if len(r14.Times) != 5 {
 		t.Fatalf("fig14 rows = %d", len(r14.Times))
+	}
+}
+
+// TestFig13SpeedupShape: the R-S join speeds up from 2 to 10 nodes. It
+// takes TestFig9SpeedupShape's setup for the same reason: the smoke
+// corpus is dominated by fixed overhead and cannot show a speedup.
+func TestFig13SpeedupShape(t *testing.T) {
+	p := tinyParams()
+	p.BaseRecords, p.BaseRecordsS = 420, 450
+	p.Parallelism = 1
+	p.BlockSize = 32 << 10
+	r, err := NewSuite(p).Fig13()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range PaperCombos {
+		sp := r.Speedup(j)
+		if !r.Times[len(sp)-1][j].OOM && sp[len(sp)-1] <= 1 {
+			t.Fatalf("R-S combo %v: no speedup (%v)", PaperCombos[j], sp)
+		}
+	}
+}
+
+// TestServeAblationShape: the serve ablation reports one row per shard
+// count (every count serving the same pairs) and its table and JSON
+// carry only the columns it measures.
+func TestServeAblationShape(t *testing.T) {
+	r, err := NewSuite(tinyParams()).ServeAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != len(serveShardCounts) || r.Pairs <= 0 {
+		t.Fatalf("rows = %d, pairs = %d", len(r.Rows), r.Pairs)
+	}
+	for _, row := range r.Rows {
+		if row.QPS <= 0 || row.P99Ms < row.P50Ms {
+			t.Fatalf("implausible row %+v", row)
+		}
+	}
+	doc, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := r.Render() + string(doc); !strings.Contains(out, "p99") || strings.Contains(out, "cache") {
+		t.Fatalf("unexpected columns:\n%s", out)
 	}
 }
 

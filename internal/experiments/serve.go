@@ -32,7 +32,7 @@ const (
 // corpus is indexed once per shard count and served the same Zipf query
 // stream. Like the distrib ablation this measures real wall-clock, so
 // absolute QPS depends on the host (recorded in the document); the
-// portable parts are the shard scaling shape and the cache hit rate.
+// portable part is the shard scaling shape.
 type ServeResult struct {
 	Goos    string     `json:"goos"`
 	Goarch  string     `json:"goarch"`
@@ -47,12 +47,11 @@ type ServeResult struct {
 
 // ServeRow is one shard count's measurement.
 type ServeRow struct {
-	Shards       int     `json:"shards"`
-	QPS          float64 `json:"qps"`
-	P50Ms        float64 `json:"p50_ms"`
-	P99Ms        float64 `json:"p99_ms"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	WallNs       int64   `json:"wall_ns"`
+	Shards int     `json:"shards"`
+	QPS    float64 `json:"qps"`
+	P50Ms  float64 `json:"p50_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+	WallNs int64   `json:"wall_ns"`
 }
 
 // ServeAblation measures the online similarity-join service: the x1
@@ -149,9 +148,6 @@ func (s *Suite) runServeCell(corpus, probes []records.Record, shards int) (Serve
 	if wall > 0 {
 		row.QPS = float64(len(probes)) / wall.Seconds()
 	}
-	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
-		row.CacheHitRate = float64(st.CacheHits) / float64(lookups)
-	}
 	return row, st.Pairs, nil
 }
 
@@ -164,13 +160,12 @@ func (r *ServeResult) Render() string {
 			fmt.Sprintf("%.0f", row.QPS),
 			fmt.Sprintf("%.2f", row.P50Ms),
 			fmt.Sprintf("%.2f", row.P99Ms),
-			fmt.Sprintf("%.0f%%", 100*row.CacheHitRate),
 		}
 	}
 	return fmt.Sprintf("Online service: real wall-clock, %d Zipf(s=%.1f) queries x %d clients over %d records (%d pairs served)\n",
 		r.Queries, r.ZipfS, r.Clients, r.Records, r.Pairs) +
 		"(every shard count must serve the identical pair total; QPS is host-dependent)\n" +
-		table([]string{"shards", "QPS", "p50 (ms)", "p99 (ms)", "cache hit"}, rows)
+		table([]string{"shards", "QPS", "p50 (ms)", "p99 (ms)"}, rows)
 }
 
 // JSON renders the result as the BENCH_serve.json document.

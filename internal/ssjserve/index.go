@@ -55,9 +55,6 @@ type Options struct {
 	// that build, the Stage-1 frequency order is recomputed. Default
 	// 0.25. Correctness never depends on it — only probe cost does.
 	DriftThreshold float64
-	// CacheSize is the verification LRU capacity in cached pair
-	// verdicts (default 4096; negative disables the cache).
-	CacheSize int
 	// Workers is the query worker-pool size (default GOMAXPROCS);
 	// QueueDepth the admission queue bound (default 4×Workers).
 	Workers    int
@@ -82,9 +79,6 @@ func (o *Options) fillDefaults() error {
 	}
 	if o.DriftThreshold <= 0 {
 		o.DriftThreshold = 0.25
-	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 4096
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -204,7 +198,6 @@ type Index struct {
 	// ingest serializes Add and re-order; queries never take it.
 	ingest   sync.Mutex
 	state    atomic.Pointer[istate]
-	cache    *verifyCache
 	reorders atomic.Int64
 }
 
@@ -215,7 +208,7 @@ func NewIndex(opts Options, corpus []records.Record) (*Index, error) {
 	if err := opts.fillDefaults(); err != nil {
 		return nil, err
 	}
-	ix := &Index{opts: opts, cache: newVerifyCache(opts.CacheSize)}
+	ix := &Index{opts: opts}
 	ix.state.Store(ix.build(1, corpusTokens(opts, corpus)))
 	return ix, nil
 }
@@ -395,7 +388,7 @@ func (ix *Index) Match(probe records.Record) []records.JoinedPair {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	// Verify deduped candidates in insertion order (deterministic
-	// output), through the pair-verdict LRU.
+	// output).
 	var out []records.JoinedPair
 	var prev int32 = -1
 	for _, id := range ids {
@@ -407,42 +400,12 @@ func (ix *Index) Match(probe records.Record) []records.JoinedPair {
 		if ir.rec.RID == probe.RID {
 			continue
 		}
-		sim, ok := ix.verify(st.gen, id, ranks, ir.ranks)
+		sim, ok := ix.opts.Fn.Verify(ranks, ir.ranks, ix.opts.Threshold)
 		if ok {
 			out = append(out, records.JoinedPair{Left: ir.rec, Right: probe, Sim: sim})
 		}
 	}
 	return out
-}
-
-// verify computes (or recalls) the exact similarity verdict for one
-// (probe, candidate) pair. Cache keys bind the generation, the candidate
-// id, and the probe's exact rank sequence, so a hit can only ever return
-// the verdict a fresh verification would — entries from past generations
-// or different probes cannot collide, they just age out of the LRU.
-func (ix *Index) verify(gen uint64, id int32, probeRanks, candRanks []uint32) (float64, bool) {
-	if ix.cache == nil {
-		return ix.opts.Fn.Verify(probeRanks, candRanks, ix.opts.Threshold)
-	}
-	key := pairKey(gen, id, probeRanks)
-	if v, hit := ix.cache.get(key); hit {
-		return v.sim, v.ok
-	}
-	sim, ok := ix.opts.Fn.Verify(probeRanks, candRanks, ix.opts.Threshold)
-	ix.cache.put(key, verdict{sim: sim, ok: ok})
-	return sim, ok
-}
-
-// pairKey is the record-pair signature the verification LRU is keyed by.
-func pairKey(gen uint64, id int32, probeRanks []uint32) string {
-	b := make([]byte, 0, 12+4*len(probeRanks))
-	b = append(b, byte(gen), byte(gen>>8), byte(gen>>16), byte(gen>>24),
-		byte(gen>>32), byte(gen>>40), byte(gen>>48), byte(gen>>56))
-	b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	for _, r := range probeRanks {
-		b = append(b, byte(r), byte(r>>8), byte(r>>16), byte(r>>24))
-	}
-	return string(b)
 }
 
 // Len reports the number of indexed records.

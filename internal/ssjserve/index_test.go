@@ -190,24 +190,6 @@ func TestUnknownProbeTokensDropped(t *testing.T) {
 	}
 }
 
-// TestCacheConsistency: repeated probes hit the verification LRU and
-// answers stay identical.
-func TestCacheConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	corpus := genRecords(rng, 150, 50)
-	ix, err := NewIndex(Options{Threshold: 0.7}, corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := corpus[10]
-	first := ix.Match(probe)
-	second := ix.Match(probe)
-	assertSameAnswers(t, second, first, "cached re-probe")
-	if hits, _ := ix.cache.counts(); hits == 0 {
-		t.Fatal("second identical probe produced no cache hits")
-	}
-}
-
 // TestConcurrentMatchAddReorder is the -race exercise: parallel Match
 // traffic against concurrent Adds with an aggressive drift threshold
 // (forcing many re-orders mid-flight), then a final differential check

@@ -28,10 +28,6 @@ type Stats struct {
 	Canceled int64 `json:"canceled"`
 	Adds     int64 `json:"adds"`
 
-	// Verification cache.
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-
 	// Latency/throughput, measured inside the worker (queue wait
 	// excluded from latency, included in QPS).
 	QPS      float64 `json:"qps"`
@@ -91,23 +87,20 @@ func (m *metrics) percentiles() (p50, p99 time.Duration) {
 func (m *metrics) snapshot(ix *Index) Stats {
 	p50, p99 := m.percentiles()
 	up := time.Since(m.start)
-	hits, misses := ix.cache.counts()
 	s := Stats{
-		Schema:      trace.SchemaVersion,
-		Records:     ix.Len(),
-		Tokens:      ix.Tokens(),
-		Shards:      ix.opts.Shards,
-		Gen:         ix.Generation(),
-		Reorders:    ix.Reorders(),
-		Queries:     m.queries.Load(),
-		Pairs:       m.pairs.Load(),
-		Canceled:    m.canceled.Load(),
-		Adds:        m.adds.Load(),
-		CacheHits:   hits,
-		CacheMisses: misses,
-		P50Ms:       float64(p50) / float64(time.Millisecond),
-		P99Ms:       float64(p99) / float64(time.Millisecond),
-		UptimeMs:    float64(up) / float64(time.Millisecond),
+		Schema:   trace.SchemaVersion,
+		Records:  ix.Len(),
+		Tokens:   ix.Tokens(),
+		Shards:   ix.opts.Shards,
+		Gen:      ix.Generation(),
+		Reorders: ix.Reorders(),
+		Queries:  m.queries.Load(),
+		Pairs:    m.pairs.Load(),
+		Canceled: m.canceled.Load(),
+		Adds:     m.adds.Load(),
+		P50Ms:    float64(p50) / float64(time.Millisecond),
+		P99Ms:    float64(p99) / float64(time.Millisecond),
+		UptimeMs: float64(up) / float64(time.Millisecond),
 	}
 	if up > 0 {
 		s.QPS = float64(s.Queries) / up.Seconds()

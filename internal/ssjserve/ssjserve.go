@@ -38,7 +38,7 @@ type matchResult struct {
 // bounded queue and a fixed worker pool drains it, so a load spike
 // degrades into queueing (with backpressure once the queue fills)
 // instead of unbounded goroutine and memory growth. It also owns the
-// service metrics (QPS, p50/p99, cache hit rates — see Stats).
+// service metrics (QPS, p50/p99 — see Stats).
 type Service struct {
 	ix    *Index
 	met   *metrics
